@@ -3,9 +3,6 @@
 #include <algorithm>
 // det-lint: observational — wall-clock feeds span timestamps on the obs side only
 #include <chrono>
-#include <mutex>
-// det-lint: observational — process-local attach registry; never serialized
-#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -23,33 +20,6 @@ uint64_t now_ns() {
           .count());
 }
 
-std::mutex g_registry_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, Engine*>& registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, Engine*> reg;
-  return reg;
-}
-
-class ArenaSink final : public MsgSink {
- public:
-  explicit ArenaSink(MsgArena* buf) : buf_(buf) {}
-  void send(const Message& msg) override { buf_->push(msg); }
-
- private:
-  MsgArena* buf_;
-};
-
-class DirectSink final : public MsgSink {
- public:
-  explicit DirectSink(Network* net) : net_(net) {}
-  void send(const Message& msg) override { net_->send(msg); }
-
- private:
-  Network* net_;
-};
-
 }  // namespace
 
 Engine::Engine(Network& net, EngineConfig cfg)
@@ -57,90 +27,20 @@ Engine::Engine(Network& net, EngineConfig cfg)
   arenas_.resize(pool_.threads());
   timing_.resize(pool_.threads());
   memory_.resize(pool_.threads());
-  {
-    std::lock_guard<std::mutex> lk(g_registry_mu);
-    auto [it, fresh] = registry().emplace(&net_, this);
-    NCC_ASSERT_MSG(fresh, "network already has an engine attached");
-    (void)it;
-  }
-  NetExecHooks hooks;
-  hooks.shards = pool_.threads();
-  hooks.min_messages = cfg_.delivery_cutoff;
-  hooks.parallel = [this](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-    pool_.run(tasks, [this, &fn](uint64_t t) {
-      uint64_t t0 = now_ns();
-      fn(static_cast<uint32_t>(t));
-      EngineShardTiming& tm = timing_[t];
-      tm.deliver_ns += now_ns() - t0;
-      ++tm.deliveries;
-    });
-  };
-  net_.install_exec_hooks(std::move(hooks));
+  NCC_ASSERT_MSG(net_.engine_ == nullptr, "network already has an engine attached");
+  net_.engine_ = this;
 }
 
-Engine::~Engine() {
-  net_.clear_exec_hooks();
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  registry().erase(&net_);
-}
+Engine::~Engine() { net_.engine_ = nullptr; }
 
-Engine* Engine::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto it = registry().find(&net);
-  return it == registry().end() ? nullptr : it->second;
-}
-
-void Engine::run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn) {
-  pool_.run(shards, [&fn](uint64_t t) { fn(static_cast<uint32_t>(t)); });
-}
-
-void Engine::ranges(uint64_t count,
-                    const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
-  uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
-  ShardPlan plan = ShardPlan::make(count, want);
-  if (count == 0) return;
-  run_shards(plan.shards,
-             [&](uint32_t s) { fn(s, plan.begin(s), plan.end(s)); });
-}
-
-void Engine::for_each(uint64_t count, const std::function<void(uint64_t)>& fn) {
-  ranges(count, [&fn](uint32_t, uint64_t b, uint64_t e) {
-    for (uint64_t i = b; i < e; ++i) fn(i);
-  });
-}
-
-void Engine::send_loop(uint64_t count,
-                       const std::function<void(uint64_t, MsgSink&)>& step) {
-  uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
-  ShardPlan plan = ShardPlan::make(count, want);
-  if (count == 0) return;
-  // Arenas come from the network's pool (caller thread, before the parallel
-  // region), so capacity is reused across rounds and steady-state staging
-  // allocates nothing.
-  for (uint32_t s = 0; s < plan.shards; ++s) arenas_[s] = net_.acquire_arena();
-  run_shards(plan.shards, [&](uint32_t s) {
+void Engine::run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn) {
+  pool_.run(tasks, [this, &fn](uint64_t t) {
     uint64_t t0 = now_ns();
-    ArenaSink sink(&arenas_[s]);
-    for (uint64_t i = plan.begin(s); i < plan.end(s); ++i) step(i, sink);
-    EngineShardTiming& tm = timing_[s];
-    tm.stage_ns += now_ns() - t0;
-    ++tm.loops;
-    EngineShardMemory& mm = memory_[s];
-    mm.staged_msgs_peak = std::max<uint64_t>(mm.staged_msgs_peak, arenas_[s].size());
-    mm.staged_bytes_peak =
-        std::max<uint64_t>(mm.staged_bytes_peak, arenas_[s].capacity_bytes());
+    fn(static_cast<uint32_t>(t));
+    EngineShardTiming& tm = timing_[t];
+    tm.deliver_ns += now_ns() - t0;
+    ++tm.deliveries;
   });
-  // Merge in shard order == global item order: stage_run keeps the strict
-  // send accounting on the caller thread (a header-only scan) and takes each
-  // shard's arena zero-copy as the next pending run. Capacity growth during
-  // staging is drained into the shard's memory profile first, so the network
-  // does not double count it.
-  for (uint32_t s = 0; s < plan.shards; ++s) {
-    uint64_t t0 = now_ns();
-    memory_[s].allocs += arenas_[s].take_allocs();
-    net_.stage_run(std::move(arenas_[s]));
-    timing_[s].merge_ns += now_ns() - t0;
-  }
 }
 
 void Engine::reset_timing() {
@@ -149,37 +49,84 @@ void Engine::reset_timing() {
 }
 
 uint32_t engine_shards(const Network& net) {
-  Engine* eng = Engine::of(net);
+  const Engine* eng = net.engine();
   return eng ? eng->threads() : 1;
 }
 
-void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
+void engine_ranges(const Network& net, uint64_t count, const RangeFn& fn) {
+  Engine* eng = net.engine();
+  const ShardPlan plan = ShardPlan::make(count, eng ? eng->loop_shards(count) : 1);
   if (count == 0) return;
-  if (Engine* eng = Engine::of(net)) {
-    eng->ranges(count, fn);
-  } else {
+  if (plan.shards == 1) {
     fn(0, 0, count);
+    return;
   }
+  eng->pool_.run(plan.shards, [&](uint64_t t) {
+    const uint32_t s = static_cast<uint32_t>(t);
+    fn(s, plan.begin(s), plan.end(s));
+  });
 }
 
 void engine_for(const Network& net, uint64_t count,
                 const std::function<void(uint64_t)>& fn) {
-  if (Engine* eng = Engine::of(net)) {
-    eng->for_each(count, fn);
+  engine_ranges(net, count, [&fn](uint32_t, uint64_t b, uint64_t e) {
+    for (uint64_t i = b; i < e; ++i) fn(i);
+  });
+}
+
+void engine_send_ranges(Network& net, uint64_t count, const SendRangeFn& fn) {
+  Engine* eng = net.engine();
+  const ShardPlan plan = ShardPlan::make(count, eng ? eng->loop_shards(count) : 1);
+  if (count == 0) return;
+  // Arenas come from the network's pool (caller thread, before the parallel
+  // region), so capacity is reused across rounds and steady-state staging
+  // allocates nothing. The engine keeps one slot per shard; without one the
+  // single shard stages into a local arena and keeps no profile.
+  MsgArena solo;
+  MsgArena* arenas = eng ? eng->arenas_.data() : &solo;
+  for (uint32_t s = 0; s < plan.shards; ++s) arenas[s] = net.acquire_arena();
+  auto stage = [&](uint64_t t) {
+    const uint32_t s = static_cast<uint32_t>(t);
+    const uint64_t t0 = now_ns();
+    // Stage into a worker-local arena: neighbouring shards' slots share
+    // cache lines, and every send writes the arena's end pointers.
+    MsgArena arena = std::move(arenas[s]);
+    MsgSink sink(arena);
+    fn(s, plan.begin(s), plan.end(s), sink);
+    if (eng) {
+      EngineShardTiming& tm = eng->timing_[s];
+      tm.stage_ns += now_ns() - t0;
+      ++tm.loops;
+      EngineShardMemory& mm = eng->memory_[s];
+      mm.staged_msgs_peak = std::max<uint64_t>(mm.staged_msgs_peak, arena.size());
+      mm.staged_bytes_peak =
+          std::max<uint64_t>(mm.staged_bytes_peak, arena.capacity_bytes());
+    }
+    arenas[s] = std::move(arena);
+  };
+  if (eng) {
+    eng->pool_.run(plan.shards, stage);
   } else {
-    for (uint64_t i = 0; i < count; ++i) fn(i);
+    stage(0);
+  }
+  // Merge in shard order == global item order: stage_run keeps the strict
+  // send accounting on the caller thread (a header-only scan) and takes each
+  // shard's arena zero-copy as the next pending run. An engine drains the
+  // capacity growth during staging into its shard's memory profile first, so
+  // the network does not double count it; without one the network counts it.
+  for (uint32_t s = 0; s < plan.shards; ++s) {
+    const uint64_t t0 = now_ns();
+    if (eng) eng->memory_[s].allocs += arenas[s].take_allocs();
+    net.stage_run(std::move(arenas[s]));
+    if (eng) eng->timing_[s].merge_ns += now_ns() - t0;
   }
 }
 
 void engine_send_loop(Network& net, uint64_t count,
                       const std::function<void(uint64_t, MsgSink&)>& step) {
-  if (Engine* eng = Engine::of(net)) {
-    eng->send_loop(count, step);
-  } else {
-    DirectSink sink(&net);
-    for (uint64_t i = 0; i < count; ++i) step(i, sink);
-  }
+  engine_send_ranges(net, count, [&step](uint32_t, uint64_t b, uint64_t e, MsgSink& out) {
+    for (uint64_t i = b; i < e; ++i) step(i, out);
+  });
 }
 
 }  // namespace ncc

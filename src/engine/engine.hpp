@@ -12,10 +12,11 @@
 // loops must be forked per item (Rng::fork / mix64 of the item id), never
 // drawn from a stream shared across items.
 //
-// Attaching an Engine to a Network also installs the network's execution
-// hooks, which parallelize end_round() delivery across destination shards
-// (see net/network.hpp); primitives and algorithms discover the engine via
-// Engine::of(net) and fall back to sequential loops when none is attached.
+// An Engine attaches to a Network through the network's engine slot. The
+// network hands its end_round() delivery passes to the attached engine (see
+// net/network.hpp), and the engine_* loop helpers below run on it. Without
+// an engine the same helpers run as the engine's single-shard case: one
+// shard, inline on the caller thread.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +37,14 @@ namespace ncc {
 /// byte stream — emitters gate it behind a timing flag (see bench_engine and
 /// the Perfetto exporter's timing tracks).
 struct EngineShardTiming {
-  uint64_t stage_ns = 0;    // send_loop step callbacks run on this shard
+  uint64_t stage_ns = 0;    // staged-loop callbacks run on this shard
   uint64_t merge_ns = 0;    // handing this shard's staged arena to the network
                             // (header accounting scan, caller thread)
   uint64_t deliver_ns = 0;  // end_round delivery tasks on this shard: the
                             // scatter/count/placement passes, per-task wall
                             // (includes scheduler waits when cores are
                             // oversubscribed — see docs/ARCHITECTURE.md)
-  uint64_t loops = 0;       // send_loop invocations that ran this shard
+  uint64_t loops = 0;       // staged loops that ran this shard
   uint64_t deliveries = 0;  // delivery tasks timed on this shard
 };
 
@@ -53,7 +54,7 @@ struct EngineShardTiming {
 /// observational and never reach determinism-compared bytes (emitters gate
 /// them behind the memory flag, see obs::MemoryMonitor).
 struct EngineShardMemory {
-  uint64_t staged_msgs_peak = 0;   // max messages staged in one send_loop
+  uint64_t staged_msgs_peak = 0;   // max messages staged in one loop
   uint64_t staged_bytes_peak = 0;  // peak capacity bytes of the staged arena
   uint64_t allocs = 0;             // staged-arena capacity-growth events
 };
@@ -70,21 +71,28 @@ struct EngineConfig {
   uint64_t delivery_cutoff = 1024;
 };
 
-/// Message sink handed to step callbacks: stages into a shard buffer on the
-/// engine path, forwards straight to the network on the sequential fallback.
-/// Both paths produce the same global send order.
+/// Message sink handed to the callbacks of a staged loop: appends to the
+/// loop shard's arena, which the loop hands to the network with stage_run()
+/// in shard order once every shard is done.
 class MsgSink {
  public:
-  virtual ~MsgSink() = default;
-  virtual void send(const Message& msg) = 0;
+  explicit MsgSink(MsgArena& arena) : arena_(&arena) {}
+  void send(const Message& msg) { arena_->push(msg); }
   void send(NodeId src, NodeId dst, uint32_t tag, std::initializer_list<uint64_t> words) {
-    send(Message(src, dst, tag, words));
+    arena_->push(Message(src, dst, tag, words));
   }
+
+ private:
+  MsgArena* arena_;
 };
+
+using RangeFn = std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>;
+using SendRangeFn =
+    std::function<void(uint32_t shard, uint64_t begin, uint64_t end, MsgSink& out)>;
 
 class Engine {
  public:
-  /// Attaches to `net` (installing its exec hooks); at most one engine per
+  /// Attaches to `net` (fills its engine slot); at most one engine per
   /// network at a time.
   explicit Engine(Network& net, EngineConfig cfg = {});
   ~Engine();
@@ -92,31 +100,7 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  Network& net() { return net_; }
   uint32_t threads() const { return pool_.threads(); }
-
-  /// The engine attached to `net`, or nullptr.
-  static Engine* of(const Network& net);
-
-  /// Run fn(0..shards-1) on the pool (shards <= threads()).
-  void run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn);
-
-  /// Shard [0, count) contiguously and hand each shard its range. `fn` runs
-  /// concurrently across shards; per-shard accumulation indexed by `shard`
-  /// (with a final merge in shard order) keeps results thread-count-free.
-  void ranges(uint64_t count,
-              const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
-
-  /// Plain parallel loop over [0, count); fn(i) may only touch item-i state.
-  void for_each(uint64_t count, const std::function<void(uint64_t)>& fn);
-
-  /// Parallel step loop with staged sends: step(i, sink) runs shard-parallel,
-  /// sinks stage into per-shard arenas (acquired from the network's pool, so
-  /// capacity is reused across rounds), and the arenas are handed over
-  /// zero-copy in shard order before returning — the send order equals the
-  /// sequential loop's. The round stays open; the caller ends it with
-  /// net().end_round().
-  void send_loop(uint64_t count, const std::function<void(uint64_t, MsgSink&)>& step);
 
   /// Per-shard wall-clock profile (one entry per pool thread). Each shard's
   /// stage/deliver slots are only ever written by the worker running that
@@ -129,6 +113,22 @@ class Engine {
   void reset_timing();
 
  private:
+  friend class Network;
+  friend void engine_ranges(const Network& net, uint64_t count, const RangeFn& fn);
+  friend void engine_send_ranges(Network& net, uint64_t count, const SendRangeFn& fn);
+
+  /// Shards for a loop over `count` items: one below the loop cutoff.
+  uint32_t loop_shards(uint64_t count) const {
+    return count >= cfg_.loop_cutoff ? threads() : 1;
+  }
+  /// Shards for end_round() delivery of `pending` messages.
+  uint32_t delivery_shards(uint64_t pending) const {
+    return pending >= cfg_.delivery_cutoff ? threads() : 1;
+  }
+  /// Run end_round()'s delivery pass fn(0..tasks-1) on the pool, timing each
+  /// task into its shard's deliver_ns.
+  void run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn);
+
   Network& net_;
   EngineConfig cfg_;
   ThreadPool pool_;
@@ -137,13 +137,32 @@ class Engine {
   std::vector<EngineShardMemory> memory_;  // one memory profile per shard
 };
 
-/// Helpers for primitives/ and core/: route the loop through `net`'s
-/// attached engine when present, run it sequentially otherwise. Either way
-/// the observable effects are identical.
+/// The loops of primitives/, core/ and overlay/. [0, count) is split into
+/// contiguous shards that run on the engine attached to `net`; with no
+/// engine attached, or below the engine's loop cutoff, the one shard runs
+/// inline on the caller thread. The observable effects are the same for any
+/// shard count.
+///
+/// The most shards a loop may use (size per-shard buffers with it): the
+/// attached engine's thread count, 1 with no engine.
 uint32_t engine_shards(const Network& net);
-void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
+
+/// fn(shard, begin, end) per shard, concurrently across shards; per-shard
+/// accumulation indexed by `shard` (with a final merge in shard order)
+/// keeps results shard-count-free.
+void engine_ranges(const Network& net, uint64_t count, const RangeFn& fn);
+
+/// Plain parallel loop over [0, count); fn(i) may only touch item-i state.
 void engine_for(const Network& net, uint64_t count, const std::function<void(uint64_t)>& fn);
+
+/// engine_ranges with staged sends: each shard's sink appends to an arena
+/// acquired from the network's pool (so capacity is reused across rounds),
+/// and the arenas are handed over zero-copy in shard order before returning
+/// — the send order equals the plain sequential loop's. The round stays
+/// open; the caller ends it with net.end_round().
+void engine_send_ranges(Network& net, uint64_t count, const SendRangeFn& fn);
+
+/// engine_send_ranges with one step(i, sink) call per item.
 void engine_send_loop(Network& net, uint64_t count,
                       const std::function<void(uint64_t, MsgSink&)>& step);
 

@@ -4,7 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/flat_map.hpp"
-#include "engine/shard.hpp"
+#include "engine/engine.hpp"
 
 namespace ncc {
 
@@ -70,10 +70,6 @@ void Network::send(const Message& msg) {
   runs_.back().push(msg);
 }
 
-void Network::send_bulk(std::span<const Message> msgs) {
-  for (const Message& m : msgs) send(m);
-}
-
 void Network::end_round() {
   const NodeId n = config_.n;
   const uint64_t round = stats_.rounds;
@@ -121,9 +117,7 @@ void Network::end_round() {
   uint32_t rcap = cap_;
   if (faults_.recv_cap) rcap = std::max<uint32_t>(1, faults_.recv_cap(round, cap_));
 
-  uint32_t S = 1;
-  if (hooks_.parallel && hooks_.shards > 1 && total >= hooks_.min_messages)
-    S = hooks_.shards;
+  uint32_t S = engine_ ? engine_->delivery_shards(total) : 1;
   ShardPlan nodes = ShardPlan::make(n, S);
   S = nodes.shards;
   ShardPlan chunks = ShardPlan::make(total, S);
@@ -132,13 +126,13 @@ void Network::end_round() {
   if (wsum_.size() != n) wsum_.assign(n, 0);
   if (word_off_.size() != n) word_off_.assign(n, 0);
 
-  // Delivery runs through the engine's parallel hook whenever one is
-  // installed — including single-shard rounds, where the pool runs the one
-  // task inline on the caller thread. That keeps deliver_ns attribution
-  // uniform across thread counts (the engine times every hook task).
+  // Delivery runs on the attached engine whenever there is one — including
+  // single-shard rounds, where the pool runs the one task inline on the
+  // caller thread. That keeps deliver_ns attribution uniform across thread
+  // counts (the engine times every delivery task).
   auto par = [&](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-    if (hooks_.parallel) {
-      hooks_.parallel(tasks, fn);
+    if (engine_) {
+      engine_->run_delivery(tasks, fn);
     } else {
       for (uint32_t t = 0; t < tasks; ++t) fn(t);
     }

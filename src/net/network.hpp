@@ -16,18 +16,23 @@
 // attached: destinations are split into contiguous shards, each shard
 // enforces its nodes' receive capacities independently, and the drop RNG is
 // forked per (round, destination) — so inboxes and NetStats are bit-identical
-// for any thread/shard count, including the sequential fallback.
+// for any thread/shard count, a single shard (no engine) included.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/message.hpp"
 
 namespace ncc {
+
+class Engine;
+namespace obs {
+class Tracer;
+class FlowSampler;
+}  // namespace obs
 
 struct NetConfig {
   NodeId n = 0;
@@ -129,18 +134,6 @@ class InboxView {
   size_t count_ = 0;
 };
 
-/// Execution hooks installed by an attached engine. The network itself stays
-/// engine-agnostic: `parallel(tasks, fn)` must run fn(0..tasks-1) to
-/// completion (any interleaving — the delivery algorithm is shard-order
-/// independent), `shards` is the preferred shard count.
-struct NetExecHooks {
-  std::function<void(uint32_t, const std::function<void(uint32_t)>&)> parallel;
-  uint32_t shards = 1;
-  /// Rounds with fewer pending messages deliver single-shard (perf knob; the
-  /// delivery result is shard-count independent either way).
-  uint64_t min_messages = 1024;
-};
-
 /// Fault-injection hooks (installed by scenario::FaultInjector). All three run
 /// on the caller thread at the top of end_round(), *before* delivery is
 /// sharded — the pending-message order is thread-count independent (engine
@@ -167,6 +160,10 @@ class Network {
  public:
   explicit Network(NetConfig config);
 
+  // Attached engines and observers hold a Network&, so a network stays put.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
   NodeId n() const { return config_.n; }
   uint32_t cap() const { return cap_; }
   const NetConfig& config() const { return config_; }
@@ -178,14 +175,8 @@ class Network {
     send(Message(src, dst, tag, words));
   }
 
-  /// Bulk staging: queue a whole buffer of messages in one call, with the
-  /// same per-message accounting and ordering as a send() loop. Used by the
-  /// router's per-shard merges so staged shard buffers are handed over
-  /// wholesale instead of message by message.
-  void send_bulk(std::span<const Message> msgs);
-
   /// Arena handoff, the zero-copy bulk path: callers (the engine's
-  /// send_loop) fill a pooled arena off-thread and stage it wholesale as the
+  /// staged loops) fill a pooled arena off-thread and stage it wholesale as the
   /// next sorted run of this round's pending traffic. stage_run() only scans
   /// the 20-byte headers for send accounting — no message is copied. Runs
   /// concatenate in staging order, so handing over per-shard arenas in shard
@@ -197,8 +188,8 @@ class Network {
 
   /// Close the current round: enforce capacities, deliver messages into the
   /// per-node inboxes, advance the round counter. Runs shard-parallel across
-  /// destinations when exec hooks are installed; the result is identical
-  /// either way.
+  /// destinations on the attached engine; the result is identical either
+  /// way.
   void end_round();
 
   /// Inbox of `u` holding the messages delivered at the start of the current
@@ -263,12 +254,18 @@ class Network {
   /// clears pending traffic and the per-shard delivery staging.
   void reset_stats();
 
-  /// Engine attachment (see src/engine/engine.hpp).
-  void install_exec_hooks(NetExecHooks hooks) { hooks_ = std::move(hooks); }
-  void clear_exec_hooks() { hooks_ = NetExecHooks{}; }
-  const NetExecHooks& exec_hooks() const { return hooks_; }
+  /// Attachment slots: the engine and observers attached to this network,
+  /// or nullptr. Each object fills its slot in its constructor (at most one
+  /// of each kind per network) and clears it in its destructor.
+  Engine* engine() const { return engine_; }
+  obs::Tracer* tracer() const { return tracer_; }
+  obs::FlowSampler* flow_sampler() const { return flow_sampler_; }
 
  private:
+  friend class Engine;
+  friend class obs::Tracer;
+  friend class obs::FlowSampler;
+
   template <typename Hook>
   struct Subscriber {
     HookId id;
@@ -280,7 +277,9 @@ class Network {
   uint64_t drop_seed_;  // forked per (round, dst) for the drop subsets
   NetStats stats_;
   NetMemStats mem_;
-  NetExecHooks hooks_;
+  Engine* engine_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
+  obs::FlowSampler* flow_sampler_ = nullptr;
   FaultHooks faults_;
   // Pending traffic as an ordered list of sorted runs: direct send()s append
   // to an open tail arena, stage_run() hands over closed per-shard arenas in

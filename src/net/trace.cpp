@@ -6,32 +6,27 @@
 
 namespace ncc {
 
-RoundTrace::RoundTrace(Network& net)
-    : net_(net), n_(net.n()), in_degree_(net.n(), 0) {
-  hook_id_ = net_.add_delivery_hook(
-      [this](const Message& m, uint64_t round) { on_deliver(m, round); });
+RoundTrace::RoundTrace(Network& net) : net_(net), in_degree_(net.n(), 0) {
+  delivery_id_ =
+      net_.add_delivery_hook([this](const Message& m, uint64_t) { on_deliver(m); });
+  round_id_ = net_.add_round_hook(
+      [this](uint64_t round, const NetStats&) { close_round(round); });
 }
 
-RoundTrace::~RoundTrace() { net_.remove_delivery_hook(hook_id_); }
+RoundTrace::~RoundTrace() {
+  net_.remove_delivery_hook(delivery_id_);
+  net_.remove_round_hook(round_id_);
+}
 
-void RoundTrace::close_round() {
-  if (current_round_ == UINT64_MAX) return;
+void RoundTrace::close_round(uint64_t round) {
+  current_.round = round;
   samples_.push_back(current_);
+  current_ = RoundSample{};
   for (NodeId u : touched_) in_degree_[u] = 0;
   touched_.clear();
 }
 
-void RoundTrace::on_deliver(const Message& m, uint64_t round) {
-  if (round != current_round_) {
-    close_round();
-    // Quiet rounds between deliveries leave gaps; record them as zeros so the
-    // series is dense in round index.
-    uint64_t next = current_round_ == UINT64_MAX ? round : current_round_ + 1;
-    for (uint64_t r = next; r < round; ++r)
-      samples_.push_back(RoundSample{r, 0, 0, 0});
-    current_round_ = round;
-    current_ = RoundSample{round, 0, 0, 0};
-  }
+void RoundTrace::on_deliver(const Message& m) {
   ++current_.messages;
   uint32_t& deg = in_degree_[m.dst];
   if (deg == 0) {
@@ -45,8 +40,6 @@ void RoundTrace::on_deliver(const Message& m, uint64_t round) {
 uint64_t RoundTrace::total_messages() const {
   uint64_t total = 0;
   for (const RoundSample& s : samples_) total += s.messages;
-  // The still-open round is included for convenience.
-  total += current_.messages;
   return total;
 }
 
@@ -54,18 +47,14 @@ RoundSample RoundTrace::peak() const {
   RoundSample best{};
   for (const RoundSample& s : samples_)
     if (s.messages > best.messages) best = s;
-  if (current_.messages > best.messages) best = current_;
   return best;
 }
 
 void RoundTrace::write_csv(std::ostream& os) const {
   os << "round,messages,max_in_degree,busy_nodes\n";
-  auto emit = [&](const RoundSample& s) {
+  for (const RoundSample& s : samples_)
     os << s.round << ',' << s.messages << ',' << s.max_in_degree << ','
        << s.busy_nodes << '\n';
-  };
-  for (const RoundSample& s : samples_) emit(s);
-  if (current_round_ != UINT64_MAX) emit(current_);
 }
 
 void RoundTrace::save_csv(const std::string& path) const {

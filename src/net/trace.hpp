@@ -3,8 +3,10 @@
 //
 // Useful for inspecting where an algorithm spends its rounds (injection
 // bursts vs routing plateaus vs barrier ticks) and for the load plots in the
-// benchmark harness. Hooks into Network's delivery stream, so tracing a run
-// costs nothing inside the model.
+// benchmark harness. Hooks into Network's delivery stream and closes each
+// round from a round hook, so every round the network runs — quiet ones
+// included — gets exactly one sample, and tracing a run costs nothing
+// inside the model.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +27,10 @@ struct RoundSample {
 
 class RoundTrace {
  public:
-  /// Subscribes to `net`'s delivery stream. Hooks are an ordered subscriber
-  /// list, so a RoundTrace coexists with metrics collectors, congestion
-  /// monitors and tracers on the same network; the subscription is removed
-  /// on destruction.
+  /// Subscribes to `net`'s delivery stream and round hooks. Hooks are an
+  /// ordered subscriber list, so a RoundTrace coexists with metrics
+  /// collectors, congestion monitors and tracers on the same network; the
+  /// subscriptions are removed on destruction.
   explicit RoundTrace(Network& net);
   ~RoundTrace();
 
@@ -47,13 +49,12 @@ class RoundTrace {
   void save_csv(const std::string& path) const;
 
  private:
-  void on_deliver(const Message& m, uint64_t round);
-  void close_round();
+  void on_deliver(const Message& m);
+  void close_round(uint64_t round);
 
   Network& net_;
-  Network::HookId hook_id_ = 0;
-  NodeId n_;
-  uint64_t current_round_ = UINT64_MAX;
+  Network::HookId delivery_id_ = 0;
+  Network::HookId round_id_ = 0;
   std::vector<uint32_t> in_degree_;  // per node, current round
   std::vector<NodeId> touched_;
   RoundSample current_{};

@@ -1,51 +1,26 @@
 #include "obs/flow.hpp"
 
-#include <mutex>
-
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
 namespace ncc::obs {
 
-namespace {
-
-std::mutex g_registry_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, FlowSampler*>& registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, FlowSampler*> reg;
-  return reg;
-}
-
-}  // namespace
-
 FlowSampler::FlowSampler(Network& net, uint64_t seed, uint32_t max_flows,
                          uint32_t max_hops)
     : net_(net), seed_(seed), max_flows_(max_flows), max_hops_(max_hops) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto [it, fresh] = registry().emplace(&net_, this);
-  NCC_ASSERT_MSG(fresh, "network already has a flow sampler attached");
-  (void)it;
+  NCC_ASSERT_MSG(net_.flow_sampler_ == nullptr,
+                 "network already has a flow sampler attached");
+  net_.flow_sampler_ = this;
 }
 
-FlowSampler::~FlowSampler() {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  registry().erase(&net_);
-}
-
-FlowSampler* FlowSampler::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto it = registry().find(&net);
-  return it == registry().end() ? nullptr : it->second;
-}
+FlowSampler::~FlowSampler() { net_.flow_sampler_ = nullptr; }
 
 void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
                              uint32_t edge, NodeId host, uint64_t round,
                              bool cache_hit) {
-  auto& adm = admitted_[up ? 1 : 0];
-  auto it = adm.find(group);
-  if (it == adm.end()) {
+  FlatMap<int64_t>& adm = admitted_[up ? 1 : 0];
+  int64_t* slot = adm.find(group);
+  if (!slot) {
     bool take = false;
     if (flows_.size() < max_flows_) {
       // The first group each phase routes is always followed; the rest are
@@ -61,14 +36,14 @@ void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
       f.group = group;
       f.up = up;
       flows_.push_back(std::move(f));
-      it = adm.emplace(group, static_cast<int64_t>(flows_.size()) - 1).first;
+      slot = adm.emplace(group, static_cast<int64_t>(flows_.size()) - 1).first;
     } else {
-      it = adm.emplace(group, -1).first;
+      adm.emplace(group, -1);
       return;
     }
   }
-  if (it->second < 0) return;
-  SampledFlow& f = flows_[static_cast<size_t>(it->second)];
+  if (*slot < 0) return;
+  SampledFlow& f = flows_[static_cast<size_t>(*slot)];
   if (f.hops.size() >= max_hops_) {
     truncated_ = true;
     return;

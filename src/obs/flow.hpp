@@ -1,8 +1,8 @@
 // Message-flow tracing: seeded sampling of packet journeys through the
 // overlay router — the fifth layer of the observability subsystem.
 //
-// A FlowSampler attaches to a Network (at most one per network, discovered
-// via FlowSampler::of like Tracer::of) and records, for a small seeded sample
+// A FlowSampler attaches to a Network (at most one per network, held in the
+// network's flow-sampler slot) and records, for a small seeded sample
 // of aggregation groups, every routing hop their packet takes through the
 // overlay: (phase, level, out-edge, host, round). The router reports hops on
 // the caller thread at deposit/arrive time — the points where the shard-
@@ -19,10 +19,9 @@
 #pragma once
 
 #include <cstdint>
-// det-lint: observational — admission cache below is point-lookup only
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "net/network.hpp"
 #include "obs/json.hpp"
 
@@ -58,9 +57,6 @@ class FlowSampler {
   FlowSampler(const FlowSampler&) = delete;
   FlowSampler& operator=(const FlowSampler&) = delete;
 
-  /// The sampler attached to `net`, or nullptr.
-  static FlowSampler* of(const Network& net);
-
   /// Called by the router on the caller thread for every packet deposit /
   /// multicast arrival. Samples by seeded hash of `group`; a no-op for
   /// unsampled groups.
@@ -81,10 +77,9 @@ class FlowSampler {
   uint32_t max_hops_;
   std::vector<SampledFlow> flows_;
   // Per phase: group -> index into flows_; -1 marks a group checked and
-  // rejected so the admission hash runs once per group per phase.
-  // det-lint: observational — point lookups by group id; admission order is the
-  // deterministic deposit order, and the map itself is never iterated
-  std::unordered_map<uint64_t, int64_t> admitted_[2];
+  // rejected so the admission hash runs once per group per phase. Point
+  // lookups only; admission order is the deterministic deposit order.
+  FlatMap<int64_t> admitted_[2];
   // Whether a phase has admitted its first flow yet (the first group routed
   // in each phase is always followed, so a traced run never comes up empty).
   bool phase_seen_[2] = {false, false};

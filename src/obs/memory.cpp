@@ -23,14 +23,14 @@ MemoryMonitor::~MemoryMonitor() { net_.remove_round_hook(round_id_); }
 
 uint64_t MemoryMonitor::total_allocs() const {
   uint64_t allocs = net_.mem_stats().allocs;
-  if (Engine* eng = Engine::of(net_))
+  if (Engine* eng = net_.engine())
     for (const EngineShardMemory& m : eng->shard_memory()) allocs += m.allocs;
   return allocs;
 }
 
 uint64_t MemoryMonitor::peak_container_bytes() const {
   uint64_t bytes = net_.mem_stats().container_bytes_peak;
-  if (Engine* eng = Engine::of(net_))
+  if (Engine* eng = net_.engine())
     for (const EngineShardMemory& m : eng->shard_memory())
       bytes += m.staged_bytes_peak;
   return bytes;
@@ -47,7 +47,7 @@ void MemoryMonitor::write_json(JsonWriter& w) const {
   w.kv("peak_bytes", peak_container_bytes());
   w.key("staged");
   w.begin_array();
-  if (Engine* eng = Engine::of(net_)) {
+  if (Engine* eng = net_.engine()) {
     for (size_t s = 0; s < eng->shard_memory().size(); ++s) {
       const EngineShardMemory& m = eng->shard_memory()[s];
       w.begin_object();

@@ -1,7 +1,7 @@
 // Deterministic phase spans: the first layer of the observability subsystem.
 //
-// A Tracer attaches to a Network (at most one per network, discovered via
-// Tracer::of like Engine::of) and records named, nested spans over the run's
+// A Tracer attaches to a Network (at most one per network, held in the
+// network's tracer slot) and records named, nested spans over the run's
 // round timeline. A span captures the half-open round interval [begin_round,
 // end_round) it covered plus the NetStats deltas accumulated inside it
 // (messages sent, capacity drops, fault drops, corruptions, charged rounds).
@@ -53,9 +53,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The tracer attached to `net`, or nullptr.
-  static Tracer* of(const Network& net);
-
   /// Open a span; returns a token for end(). Spans are recorded in begin
   /// order and must close in LIFO order (enforced); use the Span guard.
   uint64_t begin(std::string_view name);
@@ -95,7 +92,7 @@ class Tracer {
 /// there is none) and closes it on scope exit, including exception unwinds.
 class Span {
  public:
-  Span(Network& net, std::string_view name) : tracer_(Tracer::of(net)) {
+  Span(Network& net, std::string_view name) : tracer_(net.tracer()) {
     if (tracer_) token_ = tracer_->begin(name);
   }
   ~Span() {

@@ -144,7 +144,7 @@ DownResult route_down(const Overlay& topo, Network& net,
   obs::Span span(net, "route.down");
   // Cached once: deposits run only on the caller thread, in deterministic
   // merge order, so hops recorded here are thread-count invariant.
-  obs::FlowSampler* flows = obs::FlowSampler::of(net);
+  obs::FlowSampler* flows = net.flow_sampler();
   const uint32_t F = topo.levels() - 1;  // final routing level
   const NodeId cols = topo.columns();
   NCC_ASSERT(at_col.size() == cols);
@@ -338,14 +338,14 @@ DownResult route_down(const Overlay& topo, Network& net,
   // states: each item only mutates its own pending queue / token state, and
   // every cross-node effect (sends, straight-edge moves, tree recording,
   // counters, re-activation) is staged per shard and merged in shard order —
-  // which restores the sequential iteration order exactly.
+  // which restores the sequential iteration order exactly. Sends stage into
+  // the shard's sink, which the loop hands to the network before returning.
   struct RecordOp {
     uint64_t cidx;
     uint64_t group;
     uint64_t bit;
   };
   struct StepOut {
-    std::vector<Message> sends;
     std::vector<LocalMove> local;
     std::vector<RecordOp> rec;
     std::vector<uint64_t> readd;
@@ -374,7 +374,8 @@ DownResult route_down(const Overlay& topo, Network& net,
     progress = 0;
 
     items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
+    engine_send_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie,
+                                              MsgSink& sink) {
       StepOut& out = outs[s];  // drained and cleared by the merge below
       // Per-edge contention scratch, hoisted out of the item loop: only the
       // first `deg` entries are live per item (2 on the bit-fixing overlays),
@@ -417,8 +418,8 @@ DownResult route_down(const Overlay& topo, Network& net,
           if (e == 0) {
             out.local.push_back({level + 1, ncol, g, v, false});
           } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagDownPacket | (level + 1), {g, v[0], v[1]}));
+            sink.send(topo.host(col), topo.host(ncol), kTagDownPacket | (level + 1),
+                      {g, v[0], v[1]});
           }
         }
         // A packet remaining at the node means another packet of its group
@@ -433,8 +434,8 @@ DownResult route_down(const Overlay& topo, Network& net,
             if (e == 0) {
               out.local.push_back({level + 1, ncol, 0, {}, true, 0});
             } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagDownToken | (level + 1), {e}));
+              sink.send(topo.host(col), topo.host(ncol), kTagDownToken | (level + 1),
+                        {e});
             }
           }
         }
@@ -444,7 +445,6 @@ DownResult route_down(const Overlay& topo, Network& net,
     });
     local.clear();
     for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
       local.insert(local.end(), out.local.begin(), out.local.end());
       if (record)
         for (const RecordOp& op : out.rec) record->children[op.cidx][op.group] |= op.bit;
@@ -453,7 +453,6 @@ DownResult route_down(const Overlay& topo, Network& net,
       progress += out.moved + out.tokens;
       pending_total -= out.freed;
       tokens_pending -= out.tokens;
-      out.sends.clear();
       out.local.clear();
       out.rec.clear();
       out.readd.clear();
@@ -550,7 +549,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
                   CombiningCache* cache) {
   obs::Span span(net, "route.up");
   // Same caller-thread determinism argument as route_down's sampler use.
-  obs::FlowSampler* flows = obs::FlowSampler::of(net);
+  obs::FlowSampler* flows = net.flow_sampler();
   const uint32_t F = topo.levels() - 1;
   const NodeId cols = topo.columns();
   NCC_ASSERT(trees.levels == topo.levels());
@@ -704,7 +703,6 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
 
   // Shard-parallel step loop; same staging/merge discipline as route_down.
   struct StepOut {
-    std::vector<Message> sends;
     std::vector<LocalMove> local;
     std::vector<uint64_t> readd;
     uint64_t moved = 0, freed = 0, tokens = 0;
@@ -728,7 +726,8 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
     progress = 0;
 
     items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
+    engine_send_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie,
+                                              MsgSink& sink) {
       StepOut& out = outs[s];  // drained and cleared by the merge below
       // Same hoisted per-edge scratch as route_down's step loop.
       std::array<EdgeBest, kMaxDegree> best;
@@ -764,9 +763,8 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
           if (e == 0) {
             out.local.push_back({level - 1, ncol, best[e].group, v, false});
           } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagUpPacket | (level - 1),
-                                        {best[e].group, v[0], v[1]}));
+            sink.send(topo.host(col), topo.host(ncol), kTagUpPacket | (level - 1),
+                      {best[e].group, v[0], v[1]});
           }
         }
         if (token_ready(level, idx)) {
@@ -779,8 +777,8 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
             if (e == 0) {
               out.local.push_back({level - 1, ncol, 0, {}, true, 0});
             } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagUpToken | (level - 1), {e}));
+              sink.send(topo.host(col), topo.host(ncol), kTagUpToken | (level - 1),
+                        {e});
             }
           }
         }
@@ -791,14 +789,12 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
     });
     local.clear();
     for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
       local.insert(local.end(), out.local.begin(), out.local.end());
       for (uint64_t idx : out.readd) active.add(idx);
       result.stats.packets_moved += out.moved;
       progress += out.moved + out.tokens;
       edges_remaining -= out.freed;
       tokens_pending -= out.tokens;
-      out.sends.clear();
       out.local.clear();
       out.readd.clear();
       out.moved = out.freed = out.tokens = 0;

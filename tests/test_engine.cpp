@@ -85,16 +85,25 @@ TEST(ShardPlan, NeverMoreShardsThanItems) {
   EXPECT_EQ(ShardPlan::make(0, 8).shards, 1u);
 }
 
-TEST(Engine, AttachDetachRegistry) {
+TEST(Engine, AttachFillsAndClearsTheNetworkSlot) {
   Network net(net_cfg(8));
-  EXPECT_EQ(Engine::of(net), nullptr);
+  EXPECT_EQ(net.engine(), nullptr);
+  EXPECT_EQ(engine_shards(net), 1u);
   {
     Engine eng(net, eager(2));
-    EXPECT_EQ(Engine::of(net), &eng);
+    EXPECT_EQ(net.engine(), &eng);
     EXPECT_EQ(engine_shards(net), 2u);
   }
-  EXPECT_EQ(Engine::of(net), nullptr);
+  EXPECT_EQ(net.engine(), nullptr);
   EXPECT_EQ(engine_shards(net), 1u);
+}
+
+TEST(EngineDeathTest, SecondEngineOnOneNetworkDies) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Network net(net_cfg(8));
+  Engine eng(net, eager(2));
+  EXPECT_DEATH({ Engine second(net, eager(1)); }, "already has an engine attached");
+  EXPECT_EQ(net.engine(), &eng);
 }
 
 TEST(Engine, SendLoopMatchesSequentialOrder) {

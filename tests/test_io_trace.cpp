@@ -75,11 +75,16 @@ TEST(RoundTrace, RecordsPerRoundSeries) {
   net.send(1, 5, 1, {1});
   net.send(2, 6, 1, {1});
   net.end_round();
-  // Round 1: quiet. Round 2: 1 message.
+  // Round 1: quiet. Round 2: 1 message. Round 3: quiet again.
   net.end_round();
   net.send(3, 7, 1, {1});
   net.end_round();
+  net.end_round();
 
+  // One sample per round the network ran, the trailing quiet one included.
+  ASSERT_EQ(trace.samples().size(), net.rounds());
+  EXPECT_EQ(trace.samples().back().round, 3u);
+  EXPECT_EQ(trace.samples().back().messages, 0u);
   EXPECT_EQ(trace.total_messages(), 4u);
   auto peak = trace.peak();
   EXPECT_EQ(peak.round, 0u);
@@ -94,6 +99,7 @@ TEST(RoundTrace, RecordsPerRoundSeries) {
   EXPECT_NE(csv.find("0,3,2,2"), std::string::npos);
   EXPECT_NE(csv.find("1,0,0,0"), std::string::npos);  // quiet round densified
   EXPECT_NE(csv.find("2,1,1,1"), std::string::npos);
+  EXPECT_NE(csv.find("3,0,0,0"), std::string::npos);  // trailing quiet round
 }
 
 TEST(BarabasiAlbert, ShapeAndArboricity) {
@@ -117,6 +123,6 @@ TEST(RoundTrace, CoversARealAlgorithmRun) {
   run_gossip(net);
   EXPECT_EQ(trace.total_messages(),
             net.stats().messages_sent - net.stats().messages_dropped);
-  EXPECT_GE(trace.samples().size() + 1, net.rounds());
+  EXPECT_EQ(trace.samples().size(), net.rounds());
   EXPECT_EQ(trace.peak().max_in_degree, net.stats().max_recv_load);
 }

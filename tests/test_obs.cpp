@@ -64,7 +64,6 @@ scenario::ScenarioSpec base_spec(const std::string& algorithm, NodeId n) {
 TEST(Tracer, SpanNestingAndRoundIntervals) {
   Network net = make_net(8);
   obs::Tracer tracer(net);
-  EXPECT_EQ(obs::Tracer::of(net), &tracer);
 
   uint64_t outer = tracer.begin("outer");
   tick(net, 0, 1, 2);
@@ -101,7 +100,7 @@ TEST(Tracer, SpanNestingAndRoundIntervals) {
 
 TEST(Tracer, SpanGuardIsNoopWithoutTracer) {
   Network net = make_net(4);
-  ASSERT_EQ(obs::Tracer::of(net), nullptr);
+  ASSERT_EQ(net.tracer(), nullptr);
   {
     obs::Span span(net, "nobody-listening");
     tick(net, 0, 1, 1);
@@ -109,6 +108,33 @@ TEST(Tracer, SpanGuardIsNoopWithoutTracer) {
   // Attach one afterwards: earlier guarded scope left no trace.
   obs::Tracer tracer(net);
   EXPECT_TRUE(tracer.spans().empty());
+}
+
+TEST(Slots, TracerAndSamplerFillAndClearTheirSlots) {
+  Network net = make_net(4);
+  EXPECT_EQ(net.tracer(), nullptr);
+  EXPECT_EQ(net.flow_sampler(), nullptr);
+  {
+    obs::Tracer tracer(net);
+    obs::FlowSampler sampler(net, /*seed=*/1);
+    EXPECT_EQ(net.tracer(), &tracer);
+    EXPECT_EQ(net.flow_sampler(), &sampler);
+  }
+  EXPECT_EQ(net.tracer(), nullptr);
+  EXPECT_EQ(net.flow_sampler(), nullptr);
+  // A freed slot takes a new attachment.
+  obs::Tracer again(net);
+  EXPECT_EQ(net.tracer(), &again);
+}
+
+TEST(SlotsDeathTest, SecondTracerOrSamplerOnOneNetworkDies) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Network net = make_net(4);
+  obs::Tracer tracer(net);
+  obs::FlowSampler sampler(net, /*seed=*/1);
+  EXPECT_DEATH({ obs::Tracer second(net); }, "already has a tracer attached");
+  EXPECT_DEATH({ obs::FlowSampler second(net, /*seed=*/2); },
+               "already has a flow sampler attached");
 }
 
 TEST(Tracer, CapsSpanCountAndFlagsTruncation) {
@@ -424,7 +450,7 @@ TEST(Memory, MonitorTracksLiveBytesAndContainerFootprint) {
 TEST(Memory, EngineStagedBufferProfileCountsAndResets) {
   Network net = make_net(16);
   Engine eng(net, EngineConfig{2, /*loop_cutoff=*/1, /*delivery_cutoff=*/1});
-  eng.send_loop(16, [](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, 16, [](uint64_t i, MsgSink& out) {
     out.send(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % 16), 0x1,
              {i});
   });
@@ -576,7 +602,6 @@ TEST(Flows, TraceCarriesMemoryCounterAndMatchedFlowEvents) {
 TEST(Flows, SamplerCapsAdmissionAndHops) {
   Network net = make_net(8);
   obs::FlowSampler sampler(net, /*seed=*/3, /*max_flows=*/2, /*max_hops=*/4);
-  ASSERT_EQ(obs::FlowSampler::of(net), &sampler);
   // Hammer many groups: at most max_flows journeys are admitted, and a
   // journey never exceeds max_hops hops (truncation flagged).
   for (uint64_t g = 0; g < 64; ++g)
@@ -594,7 +619,7 @@ TEST(EngineTiming, ShardProfileAccumulatesAndResets) {
   Network net = make_net(16);
   Engine eng(net, EngineConfig{2, /*loop_cutoff=*/1, /*delivery_cutoff=*/1});
   for (int r = 0; r < 4; ++r) {
-    eng.send_loop(16, [](uint64_t i, MsgSink& out) {
+    engine_send_loop(net, 16, [](uint64_t i, MsgSink& out) {
       out.send(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % 16), 0x1,
                {i});
     });
